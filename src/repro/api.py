@@ -7,7 +7,7 @@ directly from Python with as little as a single API call."
 Example::
 
     from repro import CPUCompiler
-    log_probs = CPUCompiler(vectorize=True).log_likelihood(spn, inputs)
+    log_probs = CPUCompiler(vectorize="lanes").log_likelihood(spn, inputs)
 
 Compilers cache the compiled kernel per SPN graph, so repeated
 ``log_likelihood`` calls on the same model only compile once. Cache
@@ -206,7 +206,8 @@ class _CompilerBase:
 
     def _fingerprint(self, query: Query, target: str) -> tuple:
         # Normalize through CompilerOptions so equivalent spellings (e.g.
-        # vectorize=True vs "lanes") share a cache entry while any change
+        # the -O3 default structure suite vs an explicit "cse,prune")
+        # share a cache entry while any change
         # to the vectorization mode/width/veclib configuration — or any
         # other kernel-affecting option — recompiles instead of returning
         # a stale kernel. The query contributes its kind plus every
@@ -515,8 +516,8 @@ class _CompilerBase:
 class CPUCompiler(_CompilerBase):
     """Compile SPN queries to (simulated-ISA) CPU kernels.
 
-    Keyword options beyond the shared ones: ``vectorize``,
-    ``vector_isa`` ("avx2" / "avx512" / "neon"), ``use_vector_library``,
+    Keyword options beyond the shared ones: ``vectorize`` ("batch" /
+    "lanes" / "off"), ``vector_isa`` ("avx2" / "avx512" / "neon"), ``use_vector_library``,
     ``use_shuffle``, ``num_threads``, ``superword_factor``.
     """
 

@@ -30,7 +30,7 @@ vectorization *without* a veclib is slower than scalar code.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from ...dialects import (
     arith,
@@ -76,31 +76,21 @@ ISAS = {isa.name: isa for isa in (AVX2, AVX512, NEON)}
 VECTORIZE_MODES = ("off", "lanes", "batch")
 
 
-def normalize_vectorize_mode(value: Union[bool, str, None]) -> str:
-    """Canonicalize a user-facing ``vectorize`` spelling to a mode name.
-
-    Booleans are accepted for backward compatibility: ``True`` selects
-    the fixed-lane strategy (the pre-batch meaning of ``vectorize=True``)
-    and ``False``/``None`` disable vectorization.
-    """
-    if value is True:
-        return "lanes"
-    if value is False or value is None:
-        return "off"
-    if value in VECTORIZE_MODES:
-        return value
-    raise ValueError(
-        f"unknown vectorize mode {value!r} "
-        f"(expected one of {', '.join(VECTORIZE_MODES)}, or a bool)"
-    )
+def check_vectorize_mode(value: str) -> None:
+    """Raise ``ValueError`` unless ``value`` names a vectorization mode."""
+    if value not in VECTORIZE_MODES:
+        raise ValueError(
+            f"unknown vectorize mode {value!r} "
+            f"(expected one of {', '.join(VECTORIZE_MODES)})"
+        )
 
 
 @dataclass
 class CPULoweringOptions:
     """Configuration of the CPU mapping strategy (paper Section V-A1)."""
 
-    #: "off" | "lanes" | "batch" (bools accepted: True == "lanes").
-    vectorize: Union[bool, str] = False
+    #: "off" | "lanes" | "batch".
+    vectorize: str = "off"
     isa: VectorISA = AVX2
     use_vector_library: bool = True
     use_shuffle: bool = True
@@ -111,8 +101,8 @@ class CPULoweringOptions:
     #: full chunk width.
     superword_factor: int = 128
 
-    def vectorize_mode(self) -> str:
-        return normalize_vectorize_mode(self.vectorize)
+    def __post_init__(self):
+        check_vectorize_mode(self.vectorize)
 
 
 def lower_kernel_to_cpu(
@@ -120,7 +110,7 @@ def lower_kernel_to_cpu(
 ) -> ModuleOp:
     """Lower all bufferized LoSPN kernels in ``module`` to func/scf form."""
     options = options or CPULoweringOptions()
-    mode = options.vectorize_mode()
+    mode = options.vectorize
     new_module = ModuleOp.build()
     builder = Builder.at_end(new_module.body)
     for op in module.body_block.ops:
@@ -227,7 +217,7 @@ def _lower_task(
     fb = Builder.at_end(fn.body)
     args = fn.body.arguments
 
-    mode = options.vectorize_mode()
+    mode = options.vectorize
     c0 = fb.create(arith.ConstantOp, 0, index_type).result
 
     # Constant tables (.rodata) go to the function entry, ahead of the loop.

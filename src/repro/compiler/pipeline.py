@@ -65,7 +65,7 @@ from ..spn.query import (
     Query,
 )
 from ..testing import faults
-from .cpu.lowering import ISAS, normalize_vectorize_mode
+from .cpu.lowering import ISAS, check_vectorize_mode
 from .partitioning import PartitioningStats
 from .stages import FrontendPass, PartitionPass
 from .targets import get_target, registered_targets
@@ -79,7 +79,6 @@ STAGE_NAMES = (
     "hispn-simplify",
     "structure-cse",
     "structure-prune",
-    "structure-compress",
     "lower-to-lospn",
     "lospn-cse",
     "graph-partitioning",
@@ -112,21 +111,12 @@ class CompilerOptions:
     # batch-loop strategy: "batch" (default — whole-chunk NumPy vector
     # kernels), "lanes" (fixed ISA-width vectors + scalar epilogue, for
     # the fig06/fig11 design-space exploration) or "off" (scalar loop).
-    # Bools are accepted for backward compatibility (True == "lanes").
-    vectorize: "bool | str" = "batch"
+    vectorize: str = "batch"
     vector_isa: str = "avx2"
     use_vector_library: bool = True
     use_shuffle: bool = True
     superword_factor: int = 128
     num_threads: int = 1
-    #: Analysis-gated partition-level task parallelism (CPU): run the
-    #: ``parallelize-partitions`` pass, which proves partitions of the
-    #: task graph disjoint via the memory-access summaries and attaches
-    #: a wave schedule; ``CPUExecutable`` then executes each wave's
-    #: tasks concurrently on its worker pool. Off by default — the pass
-    #: only ever fires where disjointness is proven, and results stay
-    #: bit-identical to serial execution.
-    partition_parallel: bool = False
     # Target-independent knobs.
     max_partition_size: Optional[int] = None
     use_log_space: bool = True
@@ -134,15 +124,12 @@ class CompilerOptions:
     #: the HiSPN graph rewrites run before lowering. ``None`` derives
     #: the set from the -O ladder (-O3 enables "cse,prune"; lower levels
     #: none); "none"/"off" disables explicitly; otherwise a comma list
-    #: drawn from {cse, prune, compress} applied in the given order.
-    #: "cse" is exact; "prune"/"compress" are lossy and honor
-    #: ``accuracy_budget``.
+    #: drawn from {cse, prune} applied in the given order. "cse" is
+    #: exact; "prune" is lossy and honors ``accuracy_budget``.
     structure_opt: Optional[str] = None
     #: Maximum acceptable absolute log-likelihood error introduced by
-    #: the lossy structure passes, split evenly among the enabled lossy
-    #: passes. 0.0 (default) restricts pruning to exactly-zero weights
-    #: (semantics-preserving) and forbids compression, which needs a
-    #: positive budget to be legal.
+    #: the lossy structure pass (prune). 0.0 (default) restricts pruning
+    #: to exactly-zero weights (semantics-preserving).
     accuracy_budget: float = 0.0
     #: Query modality compiled when no explicit Query object is passed:
     #: "joint" (default), "mpe", "sample", "conditional", "expectation".
@@ -167,7 +154,6 @@ class CompilerOptions:
     pipeline: Optional[str] = None
     # Diagnostics.
     collect_ir: bool = False
-    verify_each_stage: bool = False
     #: Static-analysis instrumentation level (see repro.ir.analysis):
     #: "off" (default), "structural" (IR verifier after every pass, no
     #: analyses), "boundaries" (verifier + the registered checks —
@@ -194,7 +180,7 @@ class CompilerOptions:
         if not 0 <= self.opt_level <= 3:
             raise OptionsError("opt_level must be in 0..3")
         try:
-            self.vectorize = normalize_vectorize_mode(self.vectorize)
+            check_vectorize_mode(self.vectorize)
         except ValueError as error:
             raise OptionsError(str(error)) from None
         if self.vector_isa not in ISAS:
@@ -204,10 +190,6 @@ class CompilerOptions:
                 f"unknown fallback policy '{self.fallback}' "
                 "(expected 'raise', 'interpret' or 'warn')"
             )
-        if self.verify_each is True:  # bool back-compat
-            self.verify_each = "boundaries"
-        elif self.verify_each is False or self.verify_each is None:
-            self.verify_each = "off"
         if self.verify_each not in ("off", "structural", "boundaries", "every-pass"):
             raise OptionsError(
                 f"unknown verify_each mode '{self.verify_each}' "
@@ -217,10 +199,6 @@ class CompilerOptions:
             raise OptionsError("num_threads must be >= 1")
         if self.streams < 1:
             raise OptionsError("streams must be >= 1")
-        if self.partition_parallel and self.target != "cpu":
-            raise OptionsError(
-                "partition_parallel is only supported on the cpu target"
-            )
         if self.query not in QUERY_KINDS:
             raise OptionsError(
                 f"unknown query kind '{self.query}' "
@@ -244,12 +222,7 @@ class CompilerOptions:
             raise OptionsError("accuracy_budget must be a number") from None
         if self.accuracy_budget < 0:
             raise OptionsError("accuracy_budget must be >= 0")
-        passes = self.structure_passes()  # validates structure_opt
-        if "compress" in passes and self.accuracy_budget <= 0:
-            raise OptionsError(
-                "structure_opt='compress' requires accuracy_budget > 0 "
-                "(low-rank factorization perturbs the distribution)"
-            )
+        self.structure_passes()  # validates structure_opt
 
     def cache_fingerprint(self) -> tuple:
         """Normalized tuple of every option that affects the compiled
@@ -265,7 +238,6 @@ class CompilerOptions:
             self.use_shuffle,
             self.superword_factor,
             self.num_threads,
-            self.partition_parallel,
             self.max_partition_size,
             self.use_log_space,
             self.gpu_block_size,
@@ -283,7 +255,7 @@ class CompilerOptions:
         )
 
     #: Recognized structure-suite pass names, in canonical run order.
-    STRUCTURE_PASSES = ("cse", "prune", "compress")
+    STRUCTURE_PASSES = ("cse", "prune")
 
     def structure_passes(self) -> tuple:
         """Resolved structure-suite pass names, in run order.
@@ -311,13 +283,6 @@ class CompilerOptions:
                 passes.append(name)
         return tuple(passes)
 
-    def structure_budget_share(self) -> float:
-        """Per-pass accuracy budget: the total split across lossy passes."""
-        lossy = [p for p in self.structure_passes() if p != "cse"]
-        if not lossy:
-            return 0.0
-        return self.accuracy_budget / len(lossy)
-
     def make_query(self) -> Query:
         """The :class:`~repro.spn.query.Query` these options describe."""
         if self.query == "conditional":
@@ -325,13 +290,6 @@ class CompilerOptions:
         if self.query == "expectation":
             return Expectation(moment=self.moment)
         return QUERY_KINDS[self.query]()
-
-    def verify_mode(self) -> str:
-        """The effective PassManager ``verify_each`` mode: the analysis
-        level when set, else structural when the legacy bool asked."""
-        if self.verify_each != "off":
-            return self.verify_each
-        return "structural" if self.verify_each_stage else "off"
 
 
 @dataclass
@@ -394,7 +352,7 @@ def compile_spn(
             pass_.bind(root, query)
 
     manager = PassManager(
-        verify_each=options.verify_mode(),
+        verify_each=options.verify_each,
         artifact_dir=options.artifact_dir,
         collect_ir=options.collect_ir,
     )

@@ -1,8 +1,8 @@
 """Canonical hashing of sub-SPNs inside a ``hi_spn.graph``.
 
-The structure suite (graph CSE, pruning, low-rank compression) needs one
-shared answer to "are these two sub-DAGs the same distribution?". This
-module value-numbers every SSA value in a graph: two values receive the
+The structure suite (graph CSE, pruning) needs one shared answer to
+"are these two sub-DAGs the same distribution?". This module
+value-numbers every SSA value in a graph: two values receive the
 same *canonical class id* iff the sub-SPNs rooted at them are isomorphic
 up to the algebraic identities HiSPN guarantees —
 

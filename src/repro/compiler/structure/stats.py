@@ -2,9 +2,8 @@
 
 Computed on HiSPN before any structure pass runs, so the report is an
 *opportunity* profile: how much duplicate structure graph CSE would
-merge, how much near-zero weight mass pruning could drop at a given
-budget, and which dense sum layers are candidates for low-rank
-compression. Surfaced as ``python -m repro analyze --structure-stats
+merge and how much near-zero weight mass pruning could drop at a given
+budget. Surfaced as ``python -m repro analyze --structure-stats
 <model>`` with both text and JSON output.
 """
 
@@ -16,7 +15,6 @@ from typing import Dict, List
 from ...dialects import hispn
 from ...ir.ops import Operation
 from .canonical import CanonicalIndex, each_graph, graph_ops, sum_depth
-from .lowrank import find_dense_layers
 
 #: Weight-histogram bucket edges (decades); weights below the smallest
 #: edge land in the first bucket, the rest in [edge, next_edge).
@@ -64,7 +62,6 @@ def graph_structure_stats(graph: Operation) -> Dict[str, object]:
     distinct = len(
         {index.class_id(op.results[0]) for op in ops}
     )
-    layers = find_dense_layers(graph)
     return {
         "ops": len(ops),
         "ops_by_kind": dict(sorted(counts.items())),
@@ -76,10 +73,6 @@ def graph_structure_stats(graph: Operation) -> Dict[str, object]:
         "duplicate_ops": len(ops) - distinct,
         "sum_weights": len(weights),
         "weight_histogram": _weight_histogram(weights),
-        "dense_layers": [
-            {"sums": len(layer), "children": len(layer[0].operands)}
-            for layer in layers
-        ],
     }
 
 
@@ -120,9 +113,4 @@ def render_structure_stats(stats: Dict[str, object]) -> str:
         for bucket, count in graph["weight_histogram"].items():
             if count:
                 lines.append(f"      {bucket:16s} {count}")
-        for layer in graph["dense_layers"]:
-            lines.append(
-                f"    dense layer: {layer['sums']} sums x "
-                f"{layer['children']} children"
-            )
     return "\n".join(lines)

@@ -71,12 +71,10 @@ def structure_pipeline(options: "CompilerOptions") -> List[str]:
     """The structure-level optimization leg (architecture §17).
 
     Resolved from ``CompilerOptions.structure_passes()``: -O3 enables
-    CSE + pruning by default, compression is opt-in via
-    ``structure_opt``. Lossy passes split ``accuracy_budget`` evenly;
-    the per-pass share is printed only when non-zero so the default
-    pipelines stay minimal.
+    CSE + pruning by default; ``structure_opt`` selects them explicitly.
+    Pruning gets the whole ``accuracy_budget``, printed only when
+    non-zero so the default pipelines stay minimal.
     """
-    share = options.structure_budget_share()
     items: List[str] = []
     for name in options.structure_passes():
         if name == "cse":
@@ -84,8 +82,11 @@ def structure_pipeline(options: "CompilerOptions") -> List[str]:
         else:
             items.append(
                 pass_spec(
-                    f"structure-{name}",
-                    _explicit({"accuracy_budget": share}, {"accuracy_budget": 0.0}),
+                    "structure-prune",
+                    _explicit(
+                        {"accuracy_budget": options.accuracy_budget},
+                        {"accuracy_budget": 0.0},
+                    ),
                 )
             )
     return items
@@ -225,12 +226,7 @@ class CPUTarget(Target):
     def target_leg(
         self, options: "CompilerOptions", query: JointProbability
     ) -> List[str]:
-        items = []
-        if options.partition_parallel:
-            # Opt-in: prove task disjointness and attach the wave
-            # schedule before the tasks are lowered away.
-            items.append("parallelize-partitions")
-        items.append(
+        items = [
             pass_spec(
                 "cpu-lowering",
                 _explicit(
@@ -244,7 +240,7 @@ class CPUTarget(Target):
                     CPULoweringPass.defaults,
                 ),
             )
-        )
+        ]
         items.extend(cleanup_passes(options.opt_level, licm=self.spec.uses_licm))
         return items
 
@@ -271,7 +267,6 @@ class CPUTarget(Target):
             info.kernel_name,
             self._signature(info, query),
             num_threads=options.num_threads,
-            parallel_plan=info.parallel_plan if options.partition_parallel else None,
         )
 
 

@@ -206,7 +206,6 @@ class CPUExecutable(Executable):
         num_threads: int = 1,
         max_chunk_retries: int = 0,
         retry_policy: Optional[RetryPolicy] = None,
-        parallel_plan: Optional[dict] = None,
     ):
         super().__init__(entry_name, signature)
         self.generated = generated
@@ -222,13 +221,6 @@ class CPUExecutable(Executable):
         #: Shard timeline of the most recent multi-threaded execution
         #: (worker names + per-chunk intervals; observability/benchmarks).
         self.last_timeline: Optional[ShardTimeline] = None
-        #: Analysis-proven wave schedule from ``parallelize-partitions``
-        #: (``None`` = serial task execution through the kernel entry).
-        self.parallel_plan = parallel_plan
-        self._parallel = self._prepare_parallel(parallel_plan)
-        #: Waves of the most recent partition-parallel execution
-        #: (``[]`` when the last run took the serial path).
-        self.last_waves: list = []
 
     def _release(self) -> None:
         """Release the worker thread pool and the kernel's buffer-pool
@@ -240,141 +232,51 @@ class CPUExecutable(Executable):
         if pool is not None:
             pool.close()
 
-    def _prepare_parallel(self, plan: Optional[dict]) -> Optional[dict]:
-        """Validate the compiler's wave schedule against this module.
-
-        Resolves the per-partition task functions and normalizes buffer
-        specs; any mismatch (missing task function, unexpected wiring,
-        unknown dtype) silently degrades to serial execution — the plan
-        is an optimization, never a correctness requirement.
-        """
-        if not plan:
-            return None
-        try:
-            if plan.get("num_args") != 2:
-                return None
-            buffers = [
-                (int(spec["rows"]), np.dtype(spec["dtype"]))
-                for spec in plan["buffers"]
-            ]
-            tasks = []
-            for index, spec in enumerate(plan["tasks"]):
-                fn = self.generated.get(f"{self.entry_name}_task_{index}")
-                wiring = []
-                for kind, ref in spec["args"]:
-                    if kind == "arg" and ref in (0, plan["num_args"] - 1):
-                        wiring.append(("arg", int(ref)))
-                    elif kind == "buf" and 0 <= ref < len(buffers):
-                        wiring.append(("buf", int(ref)))
-                    else:
-                        return None
-                tasks.append((fn, wiring))
-            waves = [
-                [int(t) for t in wave] for wave in plan["waves"] if wave
-            ]
-            if sorted(t for wave in waves for t in wave) != list(
-                range(len(tasks))
-            ):
-                return None
-        except (KeyError, TypeError, ValueError, AttributeError):
-            return None
-        return {"waves": waves, "buffers": buffers, "tasks": tasks}
-
-    def _run_parallel(
-        self, inputs: np.ndarray, output: np.ndarray, deadline: Optional[float]
-    ) -> None:
-        """Execute the kernel wave by wave (partition-level parallelism).
-
-        Tasks within a wave are analysis-proven disjoint (the
-        ``concurrency`` check re-verifies the schedule), so they run
-        concurrently on the worker pool; waves are barriers. Each task
-        processes the *whole* batch and the per-sample arithmetic is
-        untouched, so results are bit-identical to the serial path.
-        """
-        plan = self._parallel
-        n = inputs.shape[0]
-        buffers = [
-            np.empty((rows, n), dtype=dtype) for rows, dtype in plan["buffers"]
-        ]
-        calls = []
-        for fn, wiring in plan["tasks"]:
-            resolved = [
-                (inputs if ref == 0 else output) if kind == "arg" else buffers[ref]
-                for kind, ref in wiring
-            ]
-            calls.append((fn, resolved))
-        self.last_waves = [list(wave) for wave in plan["waves"]]
-
-        def run_tasks(start: int, end: int, wave=None) -> None:
-            for index in wave[start:end]:
-                faults.maybe_delay_chunk()
-                fn, args = calls[index]
-                fn(*args)
-
-        for wave in plan["waves"]:
-            if self._executor is None or len(wave) == 1:
-                run_tasks(0, len(wave), wave=wave)
-                continue
-            self._executor.run(
-                len(wave),
-                1,
-                lambda start, end, wave=wave: run_tasks(start, end, wave=wave),
-                retry_policy=self.retry_policy,
-                deadline=deadline,
-                diagnostics=self.diagnostics,
-                ranges=[(i, i + 1) for i in range(len(wave))],
-            )
-
     def _run(
         self, inputs: np.ndarray, output: np.ndarray, deadline: Optional[float] = None
     ) -> None:
         sig = self.signature
         n = inputs.shape[0]
-        # libm semantics for the raw ufuncs in generated code: log(0) is
-        # -inf, exp overflow is inf — never a warning or exception.
-        with np.errstate(all="ignore"):
-            if self._parallel is not None:
-                self._run_parallel(inputs, output, deadline)
-                return
-            self.last_waves = []
-            if self._executor is None:
-                faults.maybe_delay_chunk()
-                self.entry(inputs, output)
-                return
-            # Shard the batch across the pool workers: the plan
-            # over-decomposes to ≥ 2 * workers chunks (work stealing for
-            # tail imbalance) without shrinking chunks below the
-            # vector-profitable size or above the compiled hint (which
-            # would regrow every worker arena's high-water mark). Chunk
-            # boundaries never change results: the kernels are
-            # per-sample, so sharded output is bit-identical to the
-            # single-worker run at every chunk/tail size.
-            ranges = faults.maybe_overlap_shards(
-                plan_chunks(n, sig.batch_size, self.num_threads), n
-            )
-            if len(ranges) <= 1:
-                faults.maybe_delay_chunk()
-                self.entry(inputs, output)
-                return
-            timeline = ShardTimeline()
 
-            def run_chunk(start: int, end: int) -> None:
-                faults.maybe_delay_chunk()
+        def run_chunk(start: int, end: int) -> None:
+            faults.maybe_delay_chunk()
+            # libm semantics for the raw ufuncs in generated code: log(0)
+            # is -inf, exp overflow is inf — never a warning or exception.
+            # The FP error state is thread-local, so it is set here, on
+            # whichever thread (caller or pool worker) runs the chunk.
+            with np.errstate(all="ignore"):
                 self.entry(inputs[start:end], output[:, start:end])
 
-            try:
-                self._executor.run(
-                    n,
-                    sig.batch_size,
-                    run_chunk,
-                    retry_policy=self.retry_policy,
-                    deadline=deadline,
-                    diagnostics=self.diagnostics,
-                    ranges=ranges,
-                    timeline=timeline,
-                )
-            finally:
-                self.last_timeline = timeline
+        if self._executor is None:
+            run_chunk(0, n)
+            return
+        # Shard the batch across the pool workers: the plan over-decomposes
+        # to ≥ 2 * workers chunks (work stealing for tail imbalance)
+        # without shrinking chunks below the vector-profitable size or
+        # above the compiled hint (which would regrow every worker arena's
+        # high-water mark). Chunk boundaries never change results: the
+        # kernels are per-sample, so sharded output is bit-identical to
+        # the single-worker run at every chunk/tail size.
+        ranges = faults.maybe_overlap_shards(
+            plan_chunks(n, sig.batch_size, self.num_threads), n
+        )
+        if len(ranges) <= 1:
+            run_chunk(0, n)
+            return
+        timeline = ShardTimeline()
+        try:
+            self._executor.run(
+                n,
+                sig.batch_size,
+                run_chunk,
+                retry_policy=self.retry_policy,
+                deadline=deadline,
+                diagnostics=self.diagnostics,
+                ranges=ranges,
+                timeline=timeline,
+            )
+        finally:
+            self.last_timeline = timeline
 
     @property
     def source(self) -> str:

@@ -46,11 +46,6 @@ def _add_compiler_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--threads", type=int, default=1,
                         help="runtime worker threads the CPU batch is "
                              "sharded across (per-worker buffer arenas)")
-    parser.add_argument("--partition-parallel", action="store_true",
-                        help="run the parallelize-partitions pass: prove "
-                             "task-graph partitions disjoint (memory-access "
-                             "analysis) and execute independent partitions "
-                             "concurrently on the worker pool (cpu only)")
     parser.add_argument("--streams", type=int, default=1,
                         help="GPU device streams for the chunked "
                              "transfer/compute software pipeline "
@@ -74,16 +69,14 @@ def _add_compiler_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--structure-opt", default=None, metavar="PASSES",
                         help="structure-level optimization suite run on the "
                              "HiSPN graph before lowering: a comma list of "
-                             "cse, prune, compress (in order), or 'none'; "
+                             "cse, prune (in order), or 'none'; "
                              "the default derives from -O (-O3 enables "
                              "cse,prune)")
     parser.add_argument("--accuracy-budget", type=float, default=0.0,
                         metavar="EPS",
                         help="max acceptable absolute log-likelihood error "
-                             "for the lossy structure passes (prune/"
-                             "compress), split evenly among them; 0 limits "
-                             "pruning to exactly-zero weights and forbids "
-                             "compression")
+                             "for the lossy structure pass (prune); 0 limits "
+                             "pruning to exactly-zero weights")
     parser.add_argument("--pipeline", default=None, metavar="SPEC",
                         help="override the pass pipeline with an mlir-opt "
                              "style spec (see --print-pipeline for the "
@@ -122,7 +115,6 @@ def _options_from(args: argparse.Namespace, collect_ir: bool = False) -> Compile
         use_shuffle=not args.no_shuffle,
         max_partition_size=args.partition,
         num_threads=args.threads,
-        partition_parallel=args.partition_parallel,
         streams=args.streams,
         use_log_space=not args.linear_space,
         structure_opt=args.structure_opt,
@@ -908,10 +900,9 @@ def _analyze_structure_stats(args: argparse.Namespace) -> int:
 
     Profiles a model's HiSPN graph *before* any structure pass runs, so
     the numbers estimate what the optimization suite would buy: the
-    duplicate-op count is exactly what ``structure-cse`` merges, the
+    duplicate-op count is exactly what ``structure-cse`` merges and the
     weight histogram shows the mass ``structure-prune`` could drop at a
-    given budget, and the dense layers are ``structure-compress``
-    candidates.
+    given budget.
     """
     from ..compiler.frontend import build_hispn_module
     from ..compiler.structure import render_structure_stats, structure_stats
@@ -1096,8 +1087,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="instead of static checks, print the "
                               "structure-optimization opportunity profile "
                               "of a .spnb model: op counts by kind, sharing "
-                              "factor, prunable-weight histogram and dense "
-                              "sum layers (honors --format json)")
+                              "factor and prunable-weight histogram "
+                              "(honors --format json)")
     analyze.set_defaults(fn=_cmd_analyze)
 
     pipelines = sub.add_parser(
@@ -1181,7 +1172,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="skip IR round-trip/pass-permutation fuzzing")
     fuzz.add_argument("--structure-opt", action="store_true",
                       help="fuzz the structure-optimization suite instead: "
-                           "random permutations of cse/prune/compress per "
+                           "random permutations of cse/prune per "
                            "case, asserting exact semantics for CSE-only "
                            "spellings and within-budget max-abs "
                            "log-likelihood error otherwise, across cpu "

@@ -75,8 +75,8 @@ class TestExecution:
         "options",
         [
             CompilerOptions(),
-            CompilerOptions(vectorize=True, superword_factor=2),
-            CompilerOptions(max_partition_size=20, verify_each_stage=True),
+            CompilerOptions(vectorize="lanes", superword_factor=2),
+            CompilerOptions(max_partition_size=20, verify_each="structural"),
             CompilerOptions(target="gpu"),
             CompilerOptions(target="gpu", max_partition_size=20),
             CompilerOptions(opt_level=3),

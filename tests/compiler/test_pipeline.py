@@ -158,7 +158,7 @@ class TestPublicAPI:
 
     def test_target_options_forwarded(self, gaussian_spn, gaussian_inputs):
         compiler = CPUCompiler(
-            batch_size=16, vectorize=True, vector_isa="avx512", superword_factor=2
+            batch_size=16, vectorize="lanes", vector_isa="avx512", superword_factor=2
         )
         result = compiler.compile(gaussian_spn)
         assert result.options.vectorize

@@ -63,19 +63,6 @@ class TestVectorizationFingerprint:
         assert "for " not in by_mode["batch"].executable.source
         assert "for " in by_mode["off"].executable.source
 
-    def test_equivalent_spellings_share_an_entry(self):
-        spn = make_gaussian_spn()
-        legacy = CPUCompiler(batch_size=32, vectorize=True)
-        modern = CPUCompiler(batch_size=32, vectorize="lanes")
-        assert legacy._fingerprint(
-            JointProbability(batch_size=32), "cpu"
-        ) == modern._fingerprint(JointProbability(batch_size=32), "cpu")
-        off = CPUCompiler(batch_size=32, vectorize=False)
-        disabled = CPUCompiler(batch_size=32, vectorize="off")
-        assert off._fingerprint(
-            JointProbability(batch_size=32), "cpu"
-        ) == disabled._fingerprint(JointProbability(batch_size=32), "cpu")
-
     def test_width_and_veclib_changes_recompile(self):
         query = JointProbability(batch_size=32)
         prints = {

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import CompilerOptions, OptionsError, compile_spn
+from repro import CompilerOptions, CPUCompiler, OptionsError, compile_spn
 from repro.dialects.arith import AddFOp, ConstantOp
 from repro.dialects.func import FuncOp, ReturnOp
 from repro.ir import (
@@ -35,6 +35,28 @@ class TestCompilerOptionsValidation:
     def test_unknown_vector_isa(self):
         with pytest.raises(ValueError, match="vector ISA"):
             CompilerOptions(vector_isa="sse9")
+
+    def test_unknown_vectorize_mode(self):
+        # Modes are spelled as strings only; bools are not modes.
+        for mode in ("simd", True, False):
+            with pytest.raises(OptionsError, match="vectorize mode"):
+                CompilerOptions(vectorize=mode)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("vectorize", True), ("vectorize", False),
+         ("verify_each", True), ("verify_each", False)],
+    )
+    def test_bool_spelling_rejected(self, field, value):
+        # Modes are spelled as strings only; bools are not modes.
+        with pytest.raises(OptionsError, match=f"{field} mode"):
+            CompilerOptions(**{field: value})
+
+    def test_front_end_rejects_bool_vectorize(self):
+        with pytest.raises(OptionsError, match="vectorize mode"):
+            CPUCompiler(batch_size=16, vectorize=True).compile(
+                make_gaussian_spn()
+            )
 
     def test_unknown_fallback_policy(self):
         with pytest.raises(ValueError, match="fallback"):
@@ -102,7 +124,7 @@ class TestVerifyEachStage:
         result = compile_spn(
             make_gaussian_spn(),
             JointProbability(batch_size=16),
-            CompilerOptions(target=target, opt_level=3, verify_each_stage=True),
+            CompilerOptions(target=target, opt_level=3, verify_each="structural"),
         )
         assert result.executable is not None
 
@@ -110,6 +132,6 @@ class TestVerifyEachStage:
         result = compile_spn(
             make_gaussian_spn(),
             JointProbability(batch_size=16),
-            CompilerOptions(max_partition_size=3, verify_each_stage=True),
+            CompilerOptions(max_partition_size=3, verify_each="structural"),
         )
         assert result.num_tasks >= 1

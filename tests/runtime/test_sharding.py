@@ -12,6 +12,7 @@ batch-size hint, and the executor's retry / deadline / fail-fast and
 
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,14 @@ from repro.runtime import (
     chunk_ranges,
     plan_chunks,
 )
-from repro.spn import JointProbability
+from repro.spn import (
+    Categorical,
+    Gaussian,
+    JointProbability,
+    Product,
+    Sum,
+    log_likelihood,
+)
 
 from ..conftest import make_gaussian_spn
 
@@ -141,6 +149,177 @@ class TestShardedBitIdentical:
         # Below the profitable minimum the batch runs unsliced, so no
         # timeline is recorded for this execution.
         assert sharded.last_timeline is None
+
+
+def _wide_spn(width=4):
+    """Independent 2-feature products under one Sum — one task per product
+    once partitioned at ``max_partition_size=6``."""
+    products = [
+        Product([Gaussian(2 * i, 0.0, 1.0), Gaussian(2 * i + 1, 0.5, 2.0)])
+        for i in range(width)
+    ]
+    return Sum(products, [1.0 / width] * width)
+
+
+class TestShardedPartitionedKernels:
+    """Row sharding is the one parallel path for partitioned kernels too.
+
+    A multi-task kernel runs its tasks in order within each row shard;
+    the shards themselves stay per-sample, so the sharded result is
+    bit-identical to the single-threaded one in every vectorize mode.
+    """
+
+    @pytest.fixture(scope="class")
+    def kernels(self):
+        spn = _wide_spn()
+        query = JointProbability(batch_size=W, relative_error=1e-9)
+        compiled = {}
+        for mode in ("off", "lanes", "batch"):
+            pair = []
+            for threads in (1, 2):
+                result = compile_spn(
+                    spn,
+                    query,
+                    CompilerOptions(
+                        vectorize=mode, max_partition_size=6, num_threads=threads
+                    ),
+                )
+                assert result.num_tasks > 1
+                pair.append(result.executable)
+            compiled[mode] = pair
+        yield compiled
+        for pair in compiled.values():
+            for executable in pair:
+                executable.close()
+
+    @pytest.mark.parametrize("batch", [1, W - 1, W, W + 1, 1000])
+    @pytest.mark.parametrize("mode", ["off", "batch"])
+    def test_sharded_matches_serial_bitwise(self, kernels, mode, batch, rng):
+        single, sharded = kernels[mode]
+        inputs = rng.normal(size=(batch, 8))
+        np.testing.assert_array_equal(
+            sharded.execute(inputs), single.execute(inputs)
+        )
+
+    @pytest.mark.parametrize("batch", [1, W - 1, W, W + 1, 1000])
+    def test_lanes_sharded_matches_its_plan_run_serially(
+        self, kernels, batch, rng
+    ):
+        # In "lanes" mode a chunk boundary moves rows between the vector
+        # body (vector math library) and the scalar epilogue (libm),
+        # which may differ in the last ulp. Sharding itself stays a pure
+        # scheduling decision: the result is bit-identical to running
+        # the same shard plan's chunks one after another.
+        single, sharded = kernels["lanes"]
+        inputs = rng.normal(size=(batch, 8))
+        actual = sharded.execute(inputs)
+        ranges = plan_chunks(batch, W, sharded.num_threads)
+        expected = np.concatenate(
+            [single.execute(inputs[start:end]) for start, end in ranges]
+        )
+        np.testing.assert_array_equal(actual, expected)
+        np.testing.assert_allclose(
+            actual, single.execute(inputs), rtol=1e-14, atol=0.0
+        )
+
+    def test_timeline_covers_batch_on_workers(self, kernels, rng):
+        _, sharded = kernels["batch"]
+        sharded.execute(rng.normal(size=(16 * W, 8)))
+        timeline = sharded.last_timeline
+        assert len(timeline.records) > 1
+        _covers(sorted((r.start, r.end) for r in timeline.records), 16 * W)
+        assert all(w.startswith("spnc-worker") for w in timeline.workers)
+
+
+class TestFPStatusOnWorkers:
+    """The kernel's FP error policy holds on every thread that runs a chunk.
+
+    NumPy's FP error state is thread-local, so a policy set only in the
+    calling thread would not reach the pool workers.
+    """
+
+    def test_sharded_all_neginf_sum_is_silent(self):
+        # Out-of-domain categories give every sum child -inf, so the
+        # log-sum-exp computes -inf - -inf before masking the NaN away.
+        spn = Sum(
+            [Categorical(0, [0.5, 0.5]), Categorical(0, [0.2, 0.8])],
+            [0.3, 0.7],
+        )
+        inputs = np.full((16 * W, 1), 5.0)
+        with compile_spn(
+            spn,
+            JointProbability(batch_size=W),
+            CompilerOptions(vectorize="batch", num_threads=2),
+        ).executable as sharded:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                actual = sharded.execute(inputs)
+            assert len(sharded.last_timeline.records) > 1
+            assert all(
+                w.startswith("spnc-worker") for w in sharded.last_timeline.workers
+            )
+        np.testing.assert_array_equal(actual, log_likelihood(spn, inputs))
+        assert np.all(actual == -np.inf)
+
+    @staticmethod
+    def _neginf_sum():
+        return Sum(
+            [Categorical(0, [0.5, 0.5]), Categorical(0, [0.2, 0.8])],
+            [0.3, 0.7],
+        )
+
+    @pytest.mark.parametrize("mode", ["off", "lanes", "batch"])
+    def test_policy_holds_in_every_mode(self, mode):
+        spn = self._neginf_sum()
+        inputs = np.full((16 * W, 1), 5.0)
+        with compile_spn(
+            spn,
+            JointProbability(batch_size=W),
+            CompilerOptions(vectorize=mode, num_threads=2),
+        ).executable as sharded:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                actual = sharded.execute(inputs)
+            assert len(sharded.last_timeline.records) > 1
+        assert np.all(actual == -np.inf)
+
+    def test_policy_holds_for_partitioned_kernels(self):
+        # Every sum child of the root is an out-of-domain product.
+        products = [
+            Product([Categorical(0, [0.5, 0.5]), Categorical(1, [0.1, 0.9])]),
+            Product([Categorical(0, [0.7, 0.3]), Categorical(1, [0.4, 0.6])]),
+        ]
+        spn = Sum(products, [0.4, 0.6])
+        inputs = np.full((16 * W, 2), 5.0)
+        result = compile_spn(
+            spn,
+            JointProbability(batch_size=W),
+            CompilerOptions(vectorize="batch", max_partition_size=3, num_threads=2),
+        )
+        assert result.num_tasks > 1
+        with result.executable as sharded:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                actual = sharded.execute(inputs)
+            assert len(sharded.last_timeline.records) > 1
+        np.testing.assert_array_equal(actual, log_likelihood(spn, inputs))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_caller_fp_state_is_neither_needed_nor_changed(self, threads):
+        # The policy belongs to the kernel: a caller that makes FP errors
+        # raise still gets the libm result, and gets its own state back.
+        spn = self._neginf_sum()
+        inputs = np.full((16 * W, 1), 5.0)
+        with compile_spn(
+            spn,
+            JointProbability(batch_size=W),
+            CompilerOptions(vectorize="batch", num_threads=threads),
+        ).executable as executable:
+            with np.errstate(all="raise"):
+                before = np.geterr()
+                actual = executable.execute(inputs)
+                assert np.geterr() == before
+        assert np.all(actual == -np.inf)
 
 
 class TestExplicitRangesSemantics:

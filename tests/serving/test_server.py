@@ -285,9 +285,15 @@ class TestWorkerResilience:
         config = _config(max_wait_us=0, retry=RetryPolicy())
         with InferenceServer(config=config) as server:
             server.publish("m", make_gaussian_spn(), batch_size=16)
-            with faults.inject_slow_chunks(0.1):
+            # The blocker must still be running when the swap lands, even
+            # if a full garbage collection (~0.1 s late in a long test
+            # session) pauses the submitting thread in between.
+            with faults.inject_slow_chunks(0.5):
                 blocker = server.submit("m", rng.normal(size=2))
-                time.sleep(0.02)
+                deadline = time.monotonic() + 5.0
+                while (server.health()["models"]["m"]["queue_depth"] > 0
+                       and time.monotonic() < deadline):
+                    time.sleep(0.001)  # until the worker takes the blocker
                 stranded = server.submit("m", rng.normal(size=2))  # old width
                 server.swap("m", wider, batch_size=16)  # now 3 features
                 fresh = server.submit("m", rng.normal(size=3))

@@ -1,5 +1,7 @@
 """Tests for the command-line driver."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -66,20 +68,11 @@ class TestCompile:
         assert "task(s)" in out
         assert "graph-partitioning" in out
 
-    def test_partition_parallel_flag(self, model_path, capsys):
-        assert main(
-            [
-                "compile",
-                model_path,
-                "--vectorize",
-                "--partition",
-                "3",
-                "--threads",
-                "2",
-                "--partition-parallel",
-            ]
-        ) == 0
-        assert "parallelize-partitions" in capsys.readouterr().out
+    def test_removed_task_parallel_flag_is_rejected(self, model_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compile", model_path, "--partition", "3", "--partition-parallel"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestRun:
@@ -105,6 +98,53 @@ class TestRun:
         out = capsys.readouterr().out
         assert "simulated GPU time" in out
         assert "data movement" in out
+
+
+    def test_threads_shard_a_partitioned_kernel(self, model_path, tmp_path, rng):
+        inputs_path = str(tmp_path / "wide_inputs.npy")
+        np.save(inputs_path, rng.normal(size=(1000, 2)))
+        outputs = {}
+        for threads in ("1", "2"):
+            out_path = str(tmp_path / f"out_{threads}.npy")
+            assert main([
+                "run", model_path, inputs_path, "-o", out_path,
+                "--partition", "3", "--threads", threads,
+            ]) == 0
+            outputs[threads] = np.load(out_path)
+        np.testing.assert_array_equal(outputs["2"], outputs["1"])
+        np.testing.assert_allclose(
+            outputs["1"],
+            log_likelihood(make_gaussian_spn(), np.load(inputs_path)),
+            rtol=2e-3,
+            atol=1e-5,
+        )
+
+
+class TestAnalyzeStructureStats:
+    def test_text_report(self, model_path, capsys):
+        assert main(["analyze", "--structure-stats", model_path]) == 0
+        out = capsys.readouterr().out
+        assert f"model: {model_path}" in out
+        assert "structure-stats: 7 ops, 0 duplicates" in out
+        assert "weight histogram (2 sum weights)" in out
+
+    def test_json_report_schema(self, model_path, capsys):
+        assert main(
+            ["analyze", "--structure-stats", model_path, "--format", "json"]
+        ) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["model"] == model_path
+        assert report["total_ops"] == 7
+        assert report["duplicate_ops"] == 0
+        (graph,) = report["graphs"]
+        assert set(graph) == {
+            "ops", "ops_by_kind", "sum_depth", "sharing_factor",
+            "shared_nodes", "duplicate_ops", "sum_weights", "weight_histogram",
+        }
+        assert graph["ops_by_kind"] == {
+            "hi_spn.gaussian": 4, "hi_spn.product": 2, "hi_spn.sum": 1
+        }
+        assert sum(graph["weight_histogram"].values()) == graph["sum_weights"]
 
 
 class TestSample:
